@@ -58,7 +58,7 @@ struct CliOptions {
   bool no_json = false;
 };
 
-/// Reads the engine + scale flags shared by mmptcp_exp and the wrappers.
+/// Reads the engine + scale flags of every mmptcp_exp sweep.
 CliOptions parse_cli(Flags& flags) {
   CliOptions o;
   o.scale = parse_scale(flags);
@@ -72,14 +72,6 @@ CliOptions parse_cli(Flags& flags) {
       "results are byte-identical at any value)");
   require(sim_threads >= 0, "--sim-threads must be >= 0 (0 = auto)");
   o.sweep.sim_threads = static_cast<unsigned>(sim_threads);
-  o.sweep.sim_domains = flags.get_string(
-      "sim-domains", "pod",
-      "domain decomposition granularity: 'pod' (one domain per pod) or "
-      "'edge' (one domain per edge switch + per-pod fabric domains); "
-      "results are byte-identical at either value");
-  require(o.sweep.sim_domains == "pod" || o.sweep.sim_domains == "edge",
-          "--sim-domains must be 'pod' or 'edge', got '" +
-              o.sweep.sim_domains + "'");
   const std::string seeds = flags.get_string(
       "seeds", "", "seed list: '7', '1,2,5' or '1..10' (default: --seed)");
   o.sweep.seeds = seeds.empty() ? std::vector<std::uint64_t>{o.scale.seed}
@@ -517,26 +509,6 @@ int exp_main(int argc, char** argv) {
       return 1;
     }
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-}
-
-int run_registered_main(const std::string& name, int argc, char** argv) {
-  try {
-    register_builtin_experiments();
-    Flags flags(argc, argv);
-    CliOptions cli = parse_cli(flags);
-    if (flags.help_requested()) {
-      std::fputs(flags.help(argv[0]).c_str(), stdout);
-      return 0;
-    }
-    flags.check_unknown();
-
-    const ExperimentSpec* spec = Registry::global().find(name);
-    check(spec != nullptr, "bench wrapper names unknown spec: " + name);
-    return run_one(*spec, cli) == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

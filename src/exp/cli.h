@@ -3,19 +3,12 @@
 // Command-line front end of the experiment engine.
 //
 // exp_main() implements the `mmptcp_exp` binary: list, describe, filter
-// and run registered experiments with a parallel multi-seed sweep.  The
-// per-figure bench binaries are thin wrappers over run_registered_main(),
-// which runs exactly one named spec with the same flag surface.
-
-#include <string>
+// and run registered experiments with a parallel multi-seed sweep.
 
 namespace mmptcp::exp {
 
 /// The `mmptcp_exp` tool: --list | --describe <name> | --run <filter>,
 /// with --jobs, --seeds, --set axis=v1,v2 and the common scale flags.
 int exp_main(int argc, char** argv);
-
-/// Runs one named registered experiment (bench wrapper entry point).
-int run_registered_main(const std::string& name, int argc, char** argv);
 
 }  // namespace mmptcp::exp

@@ -83,19 +83,17 @@ ScenarioConfig point_scenario(const RunContext& ctx, Protocol proto,
   cfg.trace = ctx.trace;
   cfg.logger = ctx.logger;
   cfg.sim_threads = ctx.sim_threads;
-  // Decomposition granularity is a pure scheduling knob (byte-identical
-  // results either way); the CLI has already validated the string.
-  cfg.fat_tree.domain_granularity = ctx.sim_domains == "edge"
-                                        ? DomainGranularity::kEdge
-                                        : DomainGranularity::kPod;
   return cfg;
 }
 
-/// Engine scheduling telemetry -> timing sidecar.  All zeros for serial
-/// runs; machine- and knob-dependent, so never in the main JSON.
-void append_engine_timings(RunOutcome& o, const Scenario& sc) {
+/// Engine scheduling telemetry.  The window count is deterministic (the
+/// same at any thread count and on any host), so it rides in the main
+/// JSON where --compare gates it hard; the rest goes to the timing
+/// sidecar.  All zeros for serial runs.
+void append_engine_metrics(RunOutcome& o, const Scenario& sc) {
   const EngineStats& es = sc.engine_stats();
-  o.set_timing("windows", double(es.windows));
+  o.set("windows", double(es.windows));
+  o.set_timing("lookahead_us", double(sc.lookahead().ns()) * 1e-3);
   o.set_timing("domains_claimed", double(es.domains_claimed));
   o.set_timing("domains_skipped", double(es.domains_skipped));
   o.set_timing("avg_active_domains",
@@ -549,7 +547,7 @@ void register_smoke(Registry& r) {
                          wall_secs > 0 ? events / wall_secs : 0);
             o.set_timing("wall_seconds", wall_secs);
             o.set_timing("sim_threads", double(ctx.sim_threads));
-            append_engine_timings(o, sc);
+            append_engine_metrics(o, sc);
             return o;
           },
       .adjust_scale =
@@ -578,6 +576,12 @@ void register_smoke(Registry& r) {
               // Executed-event count: the determinism canary.  Any real
               // simulator change moves it and must refresh baselines.
               {.pattern = "events", .warn_pct = 0.5, .fail_pct = 5},
+              // Window count: deterministic, so a lookahead regression
+              // (more, thinner windows) fails with no timing noise.
+              {.pattern = "windows",
+               .warn_pct = 0.5,
+               .fail_pct = 5,
+               .direction = Dir::kHigherIsWorse},
               // Hard canary: any unroutable packet is a routing bug.
               {.pattern = "unroutable",
                .warn_pct = 0,
@@ -599,10 +603,7 @@ void register_smoke(Registry& r) {
                .warn_pct = 20,
                .fail_pct = 60,
                .direction = Dir::kHigherIsWorse},
-              // Engine scheduling telemetry: deterministic per
-              // granularity but not across granularities — compare
-              // like-for-like sidecars only.
-              {.pattern = "windows*", .warn_pct = 5, .fail_pct = 20},
+              // Engine scheduling telemetry (timing sidecar).
               {.pattern = "domains_*", .warn_pct = 10, .fail_pct = 50},
               {.pattern = "avg_active*",
                .warn_pct = 10,
@@ -1010,10 +1011,9 @@ void register_scale(Registry& r) {
             // going: a short server linger bounds live records at
             // (arrival rate x linger) instead of the full short count.
             cfg.server_linger = Time::seconds(1);
-            // Longer spine delay, realistic for a big fabric.  (The
-            // conservative lookahead is min(edge, spine delay), so this
-            // no longer widens the window — it just keeps the workload
-            // honest for the speedup numbers the gate summary prints.)
+            // Longer spine delay, realistic for a big fabric.  Only
+            // agg<->core links cross pod domains, so this is also the
+            // engine's window width.
             cfg.fat_tree.core_link_delay = Time::micros(100);
             const auto wall_start = std::chrono::steady_clock::now();
             Scenario sc(cfg);
@@ -1048,7 +1048,7 @@ void register_scale(Registry& r) {
                          wall_secs > 0 ? events / wall_secs : 0);
             o.set_timing("wall_seconds", wall_secs);
             o.set_timing("sim_threads", double(ctx.sim_threads));
-            append_engine_timings(o, sc);
+            append_engine_metrics(o, sc);
             // Host-dependent twin of peak_flow_slots; cumulative across
             // the process, so per-point comparisons need one point per
             // invocation (--set shorts=<n>).
@@ -1088,6 +1088,12 @@ void register_scale(Registry& r) {
               // mark move only when the simulator (or GC cadence)
               // genuinely changes — refresh baselines deliberately.
               {.pattern = "events", .warn_pct = 0.5, .fail_pct = 5},
+              // Window count: deterministic, so a lookahead regression
+              // (more, thinner windows) fails with no timing noise.
+              {.pattern = "windows",
+               .warn_pct = 0.5,
+               .fail_pct = 5,
+               .direction = Dir::kHigherIsWorse},
               // Hard canary: any unroutable packet is a routing bug.
               {.pattern = "unroutable",
                .warn_pct = 0,
@@ -1118,10 +1124,7 @@ void register_scale(Registry& r) {
                .warn_pct = 25,
                .fail_pct = 100,
                .direction = Dir::kHigherIsWorse},
-              // Engine scheduling telemetry: deterministic per
-              // granularity but not across granularities — compare
-              // like-for-like sidecars only.
-              {.pattern = "windows*", .warn_pct = 5, .fail_pct = 20},
+              // Engine scheduling telemetry (timing sidecar).
               {.pattern = "domains_*", .warn_pct = 10, .fail_pct = 50},
               {.pattern = "avg_active*",
                .warn_pct = 10,

@@ -1,9 +1,7 @@
 #pragma once
 
 // The paper's workload at a configurable scale, shared by the experiment
-// registry, the bench wrappers and the examples.  (This layer absorbed
-// the old bench/common.{h,cpp} so benches no longer re-implement sweep
-// and summary plumbing.)
+// registry and the examples.
 //
 // Every experiment runs at a laptop-friendly scale by default and
 // switches to paper scale (k=8, 4:1, 512 hosts) with --full or

@@ -5,7 +5,7 @@
 // The built-in catalog (every bench scenario of the paper) is installed
 // by register_builtin_experiments(); tests may build private Registry
 // instances.  Registry::global() is the process-wide catalog the
-// mmptcp_exp CLI and the bench wrappers use.
+// mmptcp_exp CLI uses.
 
 #include <map>
 #include <string>

@@ -11,8 +11,7 @@
 // domain at t + lookahead or later: everything inside one window is
 // causally independent across domains and may run concurrently.
 //
-// Two scheduling refinements keep fine-grained decompositions (many
-// small domains) profitable:
+// Two scheduling refinements cut the cost of unevenly loaded domains:
 //
 //  * Quiet-domain skip.  After the control window runs, each domain is
 //    probed once; domains whose next event lies at or after the window
@@ -29,7 +28,7 @@
 //
 // Both are pure scheduling policies: they change which thread runs a
 // window and when, never what the window executes, so results stay
-// byte-identical across worker counts and decomposition granularities.
+// byte-identical across worker counts.
 //
 // Cross-domain packets and metric mutations are buffered during the
 // window (net/link.h outboxes, stats/metrics.h journals) and flushed by
@@ -53,9 +52,10 @@ namespace mmptcp {
 
 class Simulation;
 
-/// Per-run engine telemetry, accumulated across run_until calls.  All
-/// counters describe scheduling only — they may differ across machines
-/// and thread counts while the simulation results stay byte-identical.
+/// Per-run engine telemetry, accumulated across run_until calls.  The
+/// window and domain counts depend only on the simulated events (they are
+/// identical at any thread count and on any host); the two timings are
+/// host-dependent.
 struct EngineStats {
   std::uint64_t windows = 0;          ///< windowed iterations executed
   std::uint64_t domains_claimed = 0;  ///< domain windows actually run

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "util/check.h"
-
 namespace mmptcp {
 
 Host& Network::make_host(std::string name, Addr addr) {
@@ -32,18 +30,10 @@ void Network::connect(Node& a, Node& b, const LinkSpec& spec) {
   Channel& ab = *channels_.back();
   channels_.push_back(std::make_unique<Channel>(a_sched, spec.delay));
   Channel& ba = *channels_.back();
-  // Crossing is decided on CANONICAL domains, not execution schedulers:
-  // a channel between two canonical units is outboxed and delivered in
-  // the canonical barrier order even when both endpoints happen to share
-  // an execution scheduler at the current granularity.  Same-instant
-  // arrival ties at a queue then resolve identically at every
-  // granularity — a direct insert here at one granularity and a flush
-  // at another would order those ties differently and change results.
   // With domains unconfigured nothing ever crosses (pure serial path).
-  if (sim_.num_domains() > 0 &&
-      a.canonical_domain() != b.canonical_domain()) {
-    ab.make_cross_domain(a_sched, &outbox(a.canonical_domain(), a.domain()));
-    ba.make_cross_domain(b_sched, &outbox(b.canonical_domain(), b.domain()));
+  if (sim_.num_domains() > 0 && a.domain() != b.domain()) {
+    ab.make_cross_domain(a_sched, &outbox(a.domain()));
+    ba.make_cross_domain(b_sched, &outbox(b.domain()));
     cross_delay_min_ = std::min(cross_delay_min_, spec.delay);
     cross_channels_ += 2;
   }
@@ -57,21 +47,11 @@ void Network::connect(Node& a, Node& b, const LinkSpec& spec) {
   ba.attach_sink(&a, ap);
 }
 
-CrossDomainOutbox& Network::outbox(std::size_t canonical, std::size_t exec) {
-  while (outboxes_.size() <= canonical) {
+CrossDomainOutbox& Network::outbox(std::size_t domain) {
+  while (outboxes_.size() <= domain) {
     outboxes_.push_back(std::make_unique<CrossDomainOutbox>());
-    outbox_exec_.push_back(SIZE_MAX);
   }
-  // A canonical unit split across execution domains would make its
-  // outbox multi-writer within a window — a builder bug this
-  // flush-ordering scheme cannot canonicalise, so fail loudly.
-  if (outbox_exec_[canonical] == SIZE_MAX) {
-    outbox_exec_[canonical] = exec;
-  } else {
-    check(outbox_exec_[canonical] == exec,
-          "emitters of one canonical domain span execution domains");
-  }
-  return *outboxes_[canonical];
+  return *outboxes_[domain];
 }
 
 void Network::flush_cross_domain() {

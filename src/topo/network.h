@@ -60,20 +60,15 @@ class Network {
   /// If an endpoint is a switch with a shared buffer enabled, its egress
   /// port draws from that switch's pool.  Each direction's channel
   /// inserts arrivals into the *receiving* node's domain scheduler; when
-  /// the endpoints live in different CANONICAL domains (and the
-  /// simulation has domains configured) the channel is routed through
-  /// the emitting unit's outbox and registered as a cross-domain edge —
-  /// even when both endpoints share an execution scheduler at the
-  /// current granularity.  Crossing is a property of the canonical
-  /// structure, never of the execution decomposition, so the delivery
-  /// order of every packet (and with it every result byte) is identical
-  /// across granularities.
+  /// the endpoints live in different domains (and the simulation has
+  /// domains configured) the channel is routed through the emitting
+  /// domain's outbox and registered as a cross-domain edge.
   void connect(Node& a, Node& b, const LinkSpec& spec);
 
-  /// Drains every canonical unit's outbox into the destination
-  /// schedulers in the canonical (arrival time, source canonical domain,
-  /// emission seq) order.  Called by the engine's barrier hook; cheap
-  /// no-op when nothing crossed.
+  /// Drains every domain's outbox into the destination schedulers in the
+  /// canonical (arrival time, source domain, emission seq) order, which
+  /// does not depend on which worker ran which domain.  Called by the
+  /// engine's barrier hook; cheap no-op when nothing crossed.
   void flush_cross_domain();
 
   /// Minimum propagation delay over cross-domain channels — the
@@ -99,15 +94,12 @@ class Network {
   Simulation& sim() { return sim_; }
 
  private:
-  /// Outbox of one canonical unit, grown on demand.  Also records (and
-  /// on repeat calls re-checks) which execution domain owns the unit:
-  /// a canonical unit must live wholly inside one execution domain or
-  /// its outbox would be written by two workers in the same window.
-  CrossDomainOutbox& outbox(std::size_t canonical, std::size_t exec);
+  /// Outbox of one emitting domain, grown on demand.
+  CrossDomainOutbox& outbox(std::size_t domain);
 
   struct FlushRef {
     Time at;
-    std::size_t key;  ///< emitting side's canonical domain
+    std::size_t key;  ///< emitting domain
     std::uint64_t seq;
     CrossDomainOutbox::Entry* entry;
   };
@@ -116,13 +108,9 @@ class Network {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  /// One outbox per emitting CANONICAL domain (not execution domain):
-  /// the flush key is simply the index, and single-writer safety holds
-  /// because every canonical unit executes inside exactly one domain.
+  /// One outbox per emitting domain, written only by the worker running
+  /// that domain; the flush key is simply the index.
   std::vector<std::unique_ptr<CrossDomainOutbox>> outboxes_;
-  /// Execution domain owning each canonical unit's outbox (the
-  /// single-writer invariant above); SIZE_MAX = no emitter yet.
-  std::vector<std::size_t> outbox_exec_;
   std::vector<FlushRef> flush_scratch_;
   Time cross_delay_min_ = Time::max();
   std::size_t cross_channels_ = 0;

@@ -133,6 +133,9 @@ TEST(Runner, ProgressReportsEveryRun) {
   options.on_progress = [&](std::size_t done, std::size_t total,
                             const std::string& id, bool ok) {
     ++calls;
+    // Callbacks are serialised and count up one by one, so a progress
+    // line never goes backwards.
+    EXPECT_EQ(done, last_done + 1);
     last_done = done;
     EXPECT_EQ(total, 12u);
     EXPECT_FALSE(id.empty());
