@@ -12,11 +12,19 @@ namespace {
 
 using testing::MiniFatTree;
 
+// gtest prints a parameter's raw bytes into the test name, so every byte
+// of Param is a zero-initialised member: compiler padding after `proto`
+// would carry leftover heap bytes and rename the test on every run.
 struct Param {
+  Param(Protocol p, double l, std::uint64_t s) : proto(p), loss(l), seed(s) {}
   Protocol proto;
+  std::uint8_t reserved[7] = {};
   double loss;
   std::uint64_t seed;
 };
+static_assert(sizeof(Param) == sizeof(Protocol) + 7 + sizeof(double) +
+                                   sizeof(std::uint64_t),
+              "Param must have no padding bytes");
 
 class RandomLoss : public ::testing::TestWithParam<Param> {};
 
