@@ -104,6 +104,8 @@ void append_engine_metrics(RunOutcome& o, const Scenario& sc) {
                es.wall_ns > 0
                    ? double(es.barrier_wait_ns) / double(es.wall_ns)
                    : 0);
+  o.set_timing("barrier_hook_share",
+               es.wall_ns > 0 ? double(es.hook_ns) / double(es.wall_ns) : 0);
   o.set_timing("sim_workers", double(sc.workers_used()));
 }
 
@@ -609,7 +611,7 @@ void register_smoke(Registry& r) {
                .warn_pct = 10,
                .fail_pct = 50,
                .abs_slack = 0.5},
-              {.pattern = "barrier_wait_share*",
+              {.pattern = "barrier_*_share*",
                .warn_pct = 100,
                .fail_pct = 1000,
                .abs_slack = 0.2},
@@ -1130,7 +1132,7 @@ void register_scale(Registry& r) {
                .warn_pct = 10,
                .fail_pct = 50,
                .abs_slack = 0.5},
-              {.pattern = "barrier_wait_share*",
+              {.pattern = "barrier_*_share*",
                .warn_pct = 100,
                .fail_pct = 1000,
                .abs_slack = 0.2},

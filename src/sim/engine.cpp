@@ -11,6 +11,12 @@ namespace mmptcp {
 
 namespace {
 
+/// Yields a pool worker makes after its spin budget before it parks.  A
+/// window's serial barrier section (hook, next-event scan, control
+/// window) takes about 10 µs on a k=8 fat-tree; a worker that parks
+/// inside it puts a futex wake on the critical path of every window.
+constexpr int kYieldsBeforePark = 2048;
+
 /// Spin briefly, then yield: windows are short, but on oversubscribed
 /// hosts (more workers than cores) pure spinning would burn the peer's
 /// whole quantum.  Main-thread barrier wait only — workers escalate to
@@ -42,11 +48,6 @@ Engine::Engine(Simulation& sim, Time lookahead, unsigned workers)
           "parallel engine needs a positive lookahead");
     workers_ = std::min<unsigned>(
         workers_, static_cast<unsigned>(sim_.num_domains()));
-    // The claim index (active domains plus at most one overshoot
-    // fetch_add per thread per epoch) must fit below the count field,
-    // and the count (at most num_domains) below the epoch bits.
-    check(sim_.num_domains() + 2ull * workers_ < (1ull << kIndexBits),
-          "too many domains for the claim-word index field");
   } else {
     workers_ = 1;
   }
@@ -69,8 +70,8 @@ Engine::~Engine() {
 void Engine::ensure_pool() {
   if (workers_ <= 1 || !pool_.empty()) return;
   pool_.reserve(workers_ - 1);
-  for (unsigned i = 0; i + 1 < workers_; ++i) {
-    pool_.emplace_back([this] { worker_main(); });
+  for (unsigned w = 1; w < workers_; ++w) {
+    pool_.emplace_back([this, w] { worker_main(w); });
   }
 }
 
@@ -79,12 +80,12 @@ void Engine::relax_or_park(const Pred& pred) {
   for (int spins = 0; spins < 64; ++spins) {
     if (pred()) return;
   }
-  for (int yields = 0; yields < 64; ++yields) {
+  for (int yields = 0; yields < kYieldsBeforePark; ++yields) {
     if (pred()) return;
     std::this_thread::yield();
   }
   // Budget exhausted: park.  The predicate re-check runs under park_mu_,
-  // which the publisher also takes (after its claim_ release store), so
+  // which the publisher also takes (after its epoch_ release store), so
   // either we see the new epoch here or the publisher sees parked_ > 0
   // and notifies — a wakeup can never slip between check and sleep.
   std::unique_lock<std::mutex> lk(park_mu_);
@@ -93,88 +94,63 @@ void Engine::relax_or_park(const Pred& pred) {
   --parked_;
 }
 
-void Engine::worker_main() {
+void Engine::worker_main(unsigned worker) {
   std::uint64_t seen = 0;
   for (;;) {
     relax_or_park([&] {
-      return (claim_.load(std::memory_order_acquire) >> kEpochShift) != seen ||
+      return epoch_.load(std::memory_order_acquire) != seen ||
              shutdown_.load(std::memory_order_acquire);
     });
     if (shutdown_.load(std::memory_order_acquire)) return;
-    const std::uint64_t epoch =
-        claim_.load(std::memory_order_acquire) >> kEpochShift;
-    seen = claim_and_run(
-        epoch, Time::nanos(window_end_ns_.load(std::memory_order_acquire)));
+    // The main thread waits for this worker's check-in before it
+    // publishes again, so the epoch cannot move past seen + 1 here.
+    seen = epoch_.load(std::memory_order_acquire);
+    run_owned(worker,
+              Time::nanos(window_end_ns_.load(std::memory_order_relaxed)));
+    checked_in_.fetch_add(1, std::memory_order_release);
   }
 }
 
-std::uint64_t Engine::claim_and_run(std::uint64_t epoch, Time end) {
-  for (;;) {
-    const std::uint64_t word = claim_.fetch_add(1, std::memory_order_acq_rel);
-    if ((word >> kEpochShift) != epoch) {
-      // Stale claim across a barrier: the main thread saw every active
-      // domain of `epoch` done, ran the barrier hook and republished
-      // claim_ before this fetch_add landed, so the claim we just
-      // consumed belongs to the *new* window.  Adopt it — the acquire
-      // above synchronises with that release publish, ordering us after
-      // the hook's insertions and the order_ rewrite — and re-read the
-      // new window end (stable: the main thread cannot republish again
-      // while this claim's domain is unfinished).  Running it with the
-      // old `end` instead would silently truncate the domain's new
-      // window and race with the hook's heap mutations.
-      epoch = word >> kEpochShift;
-      end = Time::nanos(window_end_ns_.load(std::memory_order_acquire));
-    }
-    const std::size_t count =
-        static_cast<std::size_t>((word >> kCountShift) & kFieldMask);
-    const std::size_t idx = static_cast<std::size_t>(word & kFieldMask);
-    if (idx >= count) return epoch;
-    // A sub-count index proves the publisher is still waiting on
-    // domains_done_ < count, so order_ is frozen: plain read is safe.
-    const std::size_t d = order_[idx];
+void Engine::run_owned(unsigned worker, Time end) {
+  for (const std::size_t d : order_) {
+    if (d % workers_ != worker) continue;
     Scheduler& sched = sim_.domain_scheduler(d);
-    {
-      par::ScopedDomain scope(&sched, static_cast<int>(d));
-      sched.run_window(end);
-    }
-    domains_done_.fetch_add(1, std::memory_order_release);
+    par::ScopedDomain scope(&sched, static_cast<int>(d));
+    sched.run_window(end);
   }
 }
 
 void Engine::run_domains(Time end) {
-  const std::size_t count = order_.size();
   if (workers_ <= 1) {
-    for (const std::size_t d : order_) {
-      Scheduler& sched = sim_.domain_scheduler(d);
-      par::ScopedDomain scope(&sched, static_cast<int>(d));
-      sched.run_window(end);
-    }
+    run_owned(0, end);
     return;
   }
   ensure_pool();
   window_end_ns_.store(end.ns(), std::memory_order_relaxed);
-  domains_done_.store(0, std::memory_order_relaxed);
-  // Single release store publishes the window: bumps the epoch, carries
-  // the active-domain count and resets the claim index atomically.
-  ++epoch_;
-  claim_.store((epoch_ << kEpochShift) |
-                   (static_cast<std::uint64_t>(count) << kCountShift),
-               std::memory_order_release);
+  checked_in_.store(0, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
   bool wake;
   {
-    // Taken after the claim_ store: any worker that checked its
+    // Taken after the epoch_ store: any worker that checked its
     // predicate before the store is counted in parked_ here (it holds
     // or held park_mu_ on the way to sleep), so notify reaches it.
     std::lock_guard<std::mutex> lk(park_mu_);
     wake = parked_ > 0;
   }
   if (wake) park_cv_.notify_all();
-  claim_and_run(epoch_, end);
+  run_owned(0, end);
   const auto t0 = std::chrono::steady_clock::now();
   relax_until([&] {
-    return domains_done_.load(std::memory_order_acquire) >= count;
+    return checked_in_.load(std::memory_order_acquire) + 1 >= workers_;
   });
   stats_.barrier_wait_ns += ns_since(t0);
+}
+
+void Engine::run_hook() {
+  if (!hook_) return;
+  const auto t0 = std::chrono::steady_clock::now();
+  hook_();
+  stats_.hook_ns += ns_since(t0);
 }
 
 void Engine::run_until(Time until) {
@@ -185,15 +161,15 @@ void Engine::run_until(Time until) {
   if (n == 0) {
     // Serial collapse: no domains were configured, so every event lives
     // in the control scheduler and the classic inclusive run applies.
-    if (hook_) hook_();
+    run_hook();
     control.run_until(until);
     stopped_ = control.stop_requested();
-    if (hook_) hook_();
+    run_hook();
     stats_.wall_ns += ns_since(wall0);
     return;
   }
   for (;;) {
-    if (hook_) hook_();
+    run_hook();
     Time next = Time::max();
     bool any = false;
     Time t;
@@ -230,26 +206,16 @@ void Engine::run_until(Time until) {
       stopped_ = true;
       break;
     }
-    // Quiet-domain skip + cost-ordered claiming.  Probe AFTER the
-    // control window so events it scheduled into domains count; keep a
-    // domain only when its next event falls inside this window, then
-    // order busiest-first (pending count desc, id asc) so the largest
-    // domain window starts earliest.  Ordering and skipping change
-    // scheduling only — every kept window executes the same events.
-    probe_.clear();
+    // Quiet-domain skip.  Probe AFTER the control window so events it
+    // scheduled into domains count; keep a domain only when its next
+    // event falls inside this window.  Skipping changes scheduling only
+    // — every kept window executes the same events.
+    order_.clear();
     for (std::size_t d = 0; d < n; ++d) {
-      Scheduler& sched = sim_.domain_scheduler(d);
-      if (sched.next_time(t) && t < window_end) {
-        probe_.push_back(Probe{t, sched.pending(), d});
+      if (sim_.domain_scheduler(d).next_time(t) && t < window_end) {
+        order_.push_back(d);
       }
     }
-    std::sort(probe_.begin(), probe_.end(),
-              [](const Probe& x, const Probe& y) {
-                if (x.pending != y.pending) return x.pending > y.pending;
-                return x.domain < y.domain;
-              });
-    order_.clear();
-    for (const Probe& p : probe_) order_.push_back(p.domain);
     ++stats_.windows;
     stats_.domains_claimed += order_.size();
     stats_.domains_skipped += n - order_.size();
@@ -257,7 +223,7 @@ void Engine::run_until(Time until) {
     // nothing at all — workers stay parked.
     if (!order_.empty()) run_domains(window_end);
   }
-  if (hook_) hook_();
+  run_hook();
   stats_.wall_ns += ns_since(wall0);
 }
 

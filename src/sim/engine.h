@@ -11,20 +11,23 @@
 // domain at t + lookahead or later: everything inside one window is
 // causally independent across domains and may run concurrently.
 //
-// Two scheduling refinements cut the cost of unevenly loaded domains:
+// Two scheduling rules cut the cost of the pool:
 //
 //  * Quiet-domain skip.  After the control window runs, each domain is
 //    probed once; domains whose next event lies at or after the window
-//    end are never claimed.  A skipped domain's clock lags the window
+//    end are not run.  A skipped domain's clock lags the window
 //    frontier, which is safe: it has no events below any prior window
 //    end, and cross-domain deliveries use absolute timestamps beyond
 //    the last window end.  The final window runs every domain so all
 //    clocks park at `until`.
 //
-//  * Cost-ordered claiming.  Active domains are sorted busiest-first
-//    (pending-event count descending, id ascending) before publication,
-//    so the longest domain windows start earliest and the barrier wait
-//    is bounded by the largest domain, not by unlucky claim order.
+//  * Sticky ownership.  Domain d runs on worker d % workers for the
+//    whole run, worker 0 being the calling thread.  A domain's
+//    scheduler, sockets and packets therefore stay in one core's cache
+//    from window to window instead of following whichever thread
+//    happened to grab them first.  Publishing a window is an epoch bump;
+//    each worker runs its own active domains in id order and checks in
+//    once.
 //
 // Both are pure scheduling policies: they change which thread runs a
 // window and when, never what the window executes, so results stay
@@ -54,13 +57,14 @@ class Simulation;
 
 /// Per-run engine telemetry, accumulated across run_until calls.  The
 /// window and domain counts depend only on the simulated events (they are
-/// identical at any thread count and on any host); the two timings are
+/// identical at any thread count and on any host); the timings are
 /// host-dependent.
 struct EngineStats {
   std::uint64_t windows = 0;          ///< windowed iterations executed
-  std::uint64_t domains_claimed = 0;  ///< domain windows actually run
-  std::uint64_t domains_skipped = 0;  ///< quiet domains never claimed
+  std::uint64_t domains_claimed = 0;  ///< domain windows run by their owner
+  std::uint64_t domains_skipped = 0;  ///< quiet domain windows not run
   std::uint64_t barrier_wait_ns = 0;  ///< main thread idle at the barrier
+  std::uint64_t hook_ns = 0;          ///< main thread inside the barrier hook
   std::uint64_t wall_ns = 0;          ///< wall clock inside run_until
 };
 
@@ -97,19 +101,16 @@ class Engine {
 
  private:
   void run_domains(Time end);
-  /// Claims and runs entries of `order_` for `epoch`'s window until the
-  /// claim index reaches the published count; follows the claim word
-  /// across epochs if a stale claim lands in a newer window.  Returns
-  /// the last epoch it participated in (workers use it as their park
-  /// key).
-  std::uint64_t claim_and_run(std::uint64_t epoch, Time end);
+  /// Runs the entries of `order_` owned by `worker` (d % workers_).
+  void run_owned(unsigned worker, Time end);
   /// Spin, then yield, then park on park_cv_ until `pred` holds.  Worker
   /// threads only — the main thread never parks (it is the one that
   /// would have to ring the bell).
   template <typename Pred>
   void relax_or_park(const Pred& pred);
-  void worker_main();
+  void worker_main(unsigned worker);
   void ensure_pool();
+  void run_hook();
 
   Simulation& sim_;
   Time lookahead_;
@@ -118,56 +119,32 @@ class Engine {
   bool stopped_ = false;
   EngineStats stats_;
 
-  // Worker-pool handshake.  claim_ packs
-  //     (epoch << 32) | (active count << 16) | next claim index
-  // into one word: publishing a window is a single release store that
-  // simultaneously bumps the epoch (waking parked workers), announces
-  // how many active domains this window has, and resets the claim
-  // index.  Workers fetch_add the low index field and read the slot
-  // order_[index]; an index at or beyond the count is an overshoot and
-  // the worker retires to wait for the next epoch.  Reading order_
-  // without atomics is safe: a sub-count index proves the main thread
-  // is still blocked on domains_done_ < count and cannot republish (and
-  // so cannot rewrite order_) until this claim completes.
-  //
-  // Because epoch, count and index travel together, a worker that was
-  // preempted across a barrier and fetch_adds a word of a *newer* epoch
-  // can detect it and adopt that window — re-reading window_end_ns_ and
-  // taking the count from the new word — instead of running the claimed
-  // slot against a stale window end; see claim_and_run.  Workers count
-  // completions in domains_done_; exactly `count` claims per epoch
-  // carry an index below the count, so the main thread's wait-for-count
-  // and reset of domains_done_ cannot observe stragglers.
-  static constexpr unsigned kIndexBits = 16;
-  static constexpr unsigned kCountShift = 16;
-  static constexpr unsigned kEpochShift = 32;
-  static constexpr std::uint64_t kFieldMask = (1ull << kIndexBits) - 1;
+  // Worker-pool handshake.  The main thread publishes a window by
+  // storing its end, resetting checked_in_ and then bumping epoch_ with
+  // a release store.  Each pool worker acquires the new epoch, runs its
+  // own active domains and increments checked_in_ once; the main thread
+  // runs worker 0's share and waits for workers_ - 1 check-ins.  It
+  // never publishes again before every worker has checked in, so a
+  // worker sees each epoch exactly once, and order_ and window_end_ns_
+  // are frozen while any worker reads them.
   std::vector<std::thread> pool_;
-  std::uint64_t epoch_ = 0;  // main thread only; published via claim_
-  std::atomic<std::uint64_t> claim_{0};
+  std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::int64_t> window_end_ns_{0};
-  std::atomic<std::size_t> domains_done_{0};
+  std::atomic<unsigned> checked_in_{0};
   std::atomic<bool> shutdown_{false};
 
   // Parking lot for idle workers.  After a spin/yield budget a worker
   // increments parked_ under park_mu_ and waits on park_cv_ keyed by
-  // the claim-word epoch.  The publisher stores claim_ first, then
-  // takes park_mu_ to read parked_, so a worker either sees the new
-  // epoch before sleeping or is seen by the publisher — no lost wakeup.
+  // the epoch.  The publisher stores epoch_ first, then takes park_mu_
+  // to read parked_, so a worker either sees the new epoch before
+  // sleeping or is seen by the publisher — no lost wakeup.
   std::mutex park_mu_;
   std::condition_variable park_cv_;
   std::size_t parked_ = 0;
 
-  // Scratch owned by the main thread between barriers.  order_ holds
-  // the active domain ids of the current window, busiest first; workers
-  // read it only while holding a sub-count claim (see above).
+  // Active domain ids of the current window, ascending.  Written by the
+  // main thread between barriers only.
   std::vector<std::size_t> order_;
-  struct Probe {
-    Time next;            // earliest pending event
-    std::size_t pending;  // queued-event count (cost proxy)
-    std::size_t domain;
-  };
-  std::vector<Probe> probe_;
 };
 
 }  // namespace mmptcp

@@ -503,7 +503,10 @@ void TcpSocket::arm_rto_if_needed() {
   rto_armed_ = true;
   rto_armed_at_ = sim_.now();
   const std::uint64_t gen = ++rto_generation_;
-  rto_event_ = sim_.scheduler().schedule(
+  // The timer lives in the host's domain scheduler, named explicitly
+  // rather than taken from the ambient context, so that a cancel from the
+  // control thread (a reaped flow's destructor) reaches the same queue.
+  rto_event_ = sim_.domain_scheduler(local_.domain()).schedule(
       current_rto(), [this, gen] { on_rto_timer(gen); });
 }
 
@@ -514,7 +517,7 @@ void TcpSocket::restart_rto() {
 
 void TcpSocket::cancel_rto() {
   if (!rto_armed_) return;
-  sim_.scheduler().cancel(rto_event_);
+  sim_.domain_scheduler(local_.domain()).cancel(rto_event_);
   ++rto_generation_;
   rto_armed_ = false;
 }

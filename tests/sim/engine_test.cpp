@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -48,8 +51,9 @@ struct DomainRig {
 };
 
 TEST(Engine, WindowedRunExecutesEveryDomainEvent) {
+  // Atomic: the two domains run on different threads at two workers.
   DomainRig rig;
-  int ran = 0;
+  std::atomic<int> ran{0};
   for (std::size_t d = 0; d < 2; ++d) {
     for (int i = 1; i <= 5; ++i) {
       rig.sim.domain_scheduler(d).schedule(Time::micros(100 * i),
@@ -59,7 +63,7 @@ TEST(Engine, WindowedRunExecutesEveryDomainEvent) {
   rig.sim.control_scheduler().schedule(Time::micros(250), [&] { ++ran; });
   Engine engine(rig.sim, Time::micros(120), 2);
   engine.run_until(Time::millis(10));
-  EXPECT_EQ(ran, 11);
+  EXPECT_EQ(ran.load(), 11);
   // Windowed runs are exclusive at `until` and park every clock there.
   EXPECT_EQ(rig.sim.control_scheduler().now(), Time::millis(10));
   EXPECT_EQ(rig.sim.domain_scheduler(0).now(), Time::millis(10));
@@ -81,18 +85,18 @@ TEST(Engine, ControlWindowRunsBeforeDomainWindows) {
   // the domain events of that window (control runs first, workers
   // parked — this is what makes control-side mutation race-free).
   DomainRig rig;
-  int domain_ran = 0;
+  std::atomic<int> domain_ran{0};
   int seen_at_control = -1;
   rig.sim.domain_scheduler(0).schedule(Time::micros(100),
                                        [&] { ++domain_ran; });
   rig.sim.domain_scheduler(1).schedule(Time::micros(100),
                                        [&] { ++domain_ran; });
   rig.sim.control_scheduler().schedule(Time::micros(100), [&] {
-    seen_at_control = domain_ran;
+    seen_at_control = domain_ran.load();
   });
   Engine engine(rig.sim, Time::micros(500), 2);
   engine.run_until(Time::millis(1));
-  EXPECT_EQ(domain_ran, 2);
+  EXPECT_EQ(domain_ran.load(), 2);
   EXPECT_EQ(seen_at_control, 0);
 }
 
@@ -127,6 +131,23 @@ TEST(Engine, BarrierHookBracketsEveryWindow) {
   EXPECT_GE(hooks, 4);
 }
 
+TEST(Engine, HookTimeIsAccounted) {
+  // hook_ns is the main thread's time inside the barrier hook: at least
+  // the hook's own sleeps, and never more than the run's wall time.
+  DomainRig rig;
+  int hooks = 0;
+  rig.sim.domain_scheduler(0).schedule(Time::millis(1), [] {});
+  Engine engine(rig.sim, Time::micros(200), 2);
+  engine.set_barrier_hook([&] {
+    ++hooks;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  });
+  engine.run_until(Time::millis(10));
+  const EngineStats& s = engine.stats();
+  EXPECT_GE(s.hook_ns, std::uint64_t(hooks) * 200'000);
+  EXPECT_LE(s.hook_ns, s.wall_ns);
+}
+
 TEST(Engine, HookInsertionLandsInLaterWindow) {
   // The barrier hook models the cross-domain flush: an insertion it makes
   // for a future timestamp must execute in its own window.
@@ -146,12 +167,12 @@ TEST(Engine, HookInsertionLandsInLaterWindow) {
   EXPECT_TRUE(injected_ran);
 }
 
-TEST(Engine, ManyTinyWindowsHammerTheClaimHandshake) {
-  // Thousands of one-event-per-domain windows on a full worker pool:
-  // maximises the chance that a worker is preempted across a barrier so
-  // its next claim lands in a newer epoch (the stale-claim adoption
-  // path in claim_and_run).  A skipped or double-run window shows up as
-  // a wrong count; a broken handshake hangs the run.
+TEST(Engine, ManyTinyWindowsHammerThePublishHandshake) {
+  // Thousands of one-event-per-domain windows on a full worker pool: each
+  // window is one epoch publish and three check-ins, with the serial
+  // barrier section between them.  A worker that ran an epoch twice or
+  // skipped one shows up as a wrong count; a lost publish or check-in
+  // hangs the run.
   Simulation sim(3);
   sim.configure_domains(4);
   std::atomic<int> ran{0};
@@ -164,6 +185,41 @@ TEST(Engine, ManyTinyWindowsHammerTheClaimHandshake) {
   Engine engine(sim, Time::micros(10), 4);
   engine.run_until(Time::micros(10 * (kWindows + 1)));
   EXPECT_EQ(ran.load(), 4 * kWindows);
+}
+
+TEST(Engine, EachDomainStaysOnOneThread) {
+  // Sticky ownership: over many windows every domain runs on exactly one
+  // thread, and domain d runs on the calling thread exactly when
+  // d % workers == 0.  Each domain's record is written only by its own
+  // events, and windows are ordered by the barrier.
+  constexpr std::size_t kDomains = 6;
+  constexpr int kWindows = 1200;
+  for (const unsigned workers : {2u, 3u, 4u}) {
+    Simulation sim(13);
+    sim.configure_domains(kDomains);
+    std::vector<std::vector<std::thread::id>> seen(kDomains);
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      for (int i = 1; i <= kWindows; ++i) {
+        sim.domain_scheduler(d).schedule(Time::micros(10 * i), [&seen, d] {
+          const std::thread::id me = std::this_thread::get_id();
+          if (std::find(seen[d].begin(), seen[d].end(), me) ==
+              seen[d].end()) {
+            seen[d].push_back(me);
+          }
+        });
+      }
+    }
+    Engine engine(sim, Time::micros(10), workers);
+    engine.run_until(Time::micros(10 * (kWindows + 1)));
+    EXPECT_GE(engine.stats().windows, std::uint64_t(kWindows));
+    const std::thread::id caller = std::this_thread::get_id();
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      ASSERT_EQ(seen[d].size(), 1u) << "domain " << d << ", " << workers
+                                    << " workers";
+      EXPECT_EQ(seen[d][0] == caller, d % workers == 0)
+          << "domain " << d << ", " << workers << " workers";
+    }
+  }
 }
 
 // ------------------------------------------------- quiet-domain skip
@@ -210,10 +266,11 @@ TEST(Engine, ParkedWorkersWakeAcrossManySparseWindows) {
   EXPECT_GT(engine.stats().domains_skipped, 0u);
 }
 
-TEST(Engine, ManyDomainsPackIntoTheClaimWord) {
+TEST(Engine, ManyDomainsShareFewWorkers) {
   // More domains than a typical worker pool (a k=24 fat-tree has 24
-  // pods): counts and indices share the claim word's 16-bit fields with
-  // the epoch above, and every event must still run exactly once.
+  // pods): each worker owns six domains and runs whichever of them are
+  // active in a window before it checks in, and every event must still
+  // run exactly once.
   Simulation sim(9);
   constexpr std::size_t kDomains = 24;
   sim.configure_domains(kDomains);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "sim/parallel.h"
 
 namespace mmptcp {
 namespace {
@@ -202,6 +203,42 @@ TEST(TcpSocket, ClientOnlyApisGuarded) {
   Packet syn;
   syn.flags = pkt_flags::kSyn;
   EXPECT_THROW(client.accept(syn), InvariantError);
+}
+
+TEST(TcpSocket, DestroyOutsideAWindowCancelsTheRtoInItsDomain) {
+  // A reaped flow's socket is destroyed by a control event, outside any
+  // domain window.  Its armed RTO lives in the host's domain scheduler
+  // and must be cancelled there: a cancel on the ambient (control)
+  // scheduler would leave a live timer pointing at the freed socket.
+  Simulation sim(1);
+  sim.configure_domains(2);
+  Network net(sim);
+  Host& a = net.make_host("a", Addr{0x0a000001});
+  Host& b = net.make_host("b", Addr{0x0a000002});
+  a.set_domain(1);
+  b.set_domain(1);
+  net.connect(a, b, LinkSpec{100'000'000, Time::micros(20),
+                             QueueLimits{0, 0}, LinkLayer::kOther});
+  Metrics metrics;
+  TcpConfig cfg;
+  const std::uint32_t flow_id =
+      metrics.on_flow_started(Protocol::kTcp, a.addr(), b.addr(), 0, false,
+                              sim.now())
+          .flow_id;
+  auto client = std::make_unique<TcpSocket>(
+      sim, metrics, a, SocketRole::kClient, b.addr(), a.ephemeral_port(),
+      5001, a.next_token(), flow_id, cfg,
+      std::make_unique<NewRenoCc>(cfg.mss, cfg.initial_cwnd_segments));
+  Scheduler& domain = sim.domain_scheduler(1);
+  {
+    par::ScopedDomain scope(&domain, 1);
+    client->connect_and_send(1000);  // SYN out, RTO armed in domain 1
+  }
+  const std::size_t armed = domain.pending();
+  ASSERT_GT(armed, 0u);
+  client.reset();
+  EXPECT_EQ(domain.pending(), armed - 1);
+  EXPECT_EQ(sim.control_scheduler().pending(), 0u);
 }
 
 }  // namespace

@@ -89,10 +89,10 @@ TEST(ScenarioParallel, ResultsAreIdenticalAtAnyThreadCount) {
 
 TEST(ScenarioParallel, SkewedHotspotBytesUnmovedBySchedulerOptimisations) {
   // Maximal skew for the scheduler optimisations: most shorts target one
-  // rack, so the hot pod's domain dwarfs the rest (cost-ordered claiming
-  // starts it first) and other pods go quiet for whole windows
-  // (quiet-domain skip drops them).  Both are pure scheduling: every
-  // digest byte must match the serial run.
+  // rack, so the hot pod's domain dwarfs the rest (its owner runs far
+  // longer than the other workers) and other pods go quiet for whole
+  // windows (quiet-domain skip drops them).  Both are pure scheduling:
+  // every digest byte must match the serial run.
   auto skewed = [](unsigned threads) {
     ScenarioConfig cfg = small(threads);
     cfg.hotspot_fraction = 0.9;
@@ -113,7 +113,7 @@ TEST(ScenarioParallel, EngineTelemetryAccountsForEveryDomain) {
   const EngineStats& es = sc.engine_stats();
   EXPECT_GT(es.windows, 0u);
   EXPECT_GT(es.wall_ns, 0u);
-  // Skewed traffic must leave quiet pods unclaimed, and claimed +
+  // Skewed traffic must leave quiet pods unrun, and claimed +
   // skipped must cover every domain of every window.
   EXPECT_GT(es.domains_skipped, 0u);
   EXPECT_EQ(es.domains_claimed + es.domains_skipped,
@@ -159,6 +159,11 @@ TEST(ScenarioParallel, FourThreadsBeatOneOnWideWindows) {
     GTEST_SKIP() << "needs >= 4 hardware threads, have "
                  << std::thread::hardware_concurrency();
   }
+#if defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer slows this case to minutes and a speedup assertion
+  // finds no races; the other cases here cover the pool under TSan.
+  GTEST_SKIP() << "wall-clock speedup is not measured under TSan";
+#endif
   auto wall = [](unsigned sim_threads) {
     ScenarioConfig cfg = small(sim_threads);
     cfg.fat_tree.k = 8;
